@@ -1,15 +1,21 @@
 open Linalg
 
-let vjp net ~x ~dout =
+let backward net ~trace ~dout =
   if Vec.dim dout <> net.Network.output_dim then
-    invalid_arg "Grad.vjp: cotangent dimension mismatch";
-  let trace = Network.forward_trace net x in
+    invalid_arg "Grad.backward: cotangent dimension mismatch";
   let layers = Array.of_list net.Network.layers in
+  if Array.length trace <> Array.length layers + 1 then
+    invalid_arg "Grad.backward: trace length mismatch";
   let g = ref dout in
   for i = Array.length layers - 1 downto 0 do
     g := Layer.backward layers.(i) ~x:trace.(i) ~dout:!g
   done;
   !g
+
+let vjp net ~x ~dout =
+  if Vec.dim dout <> net.Network.output_dim then
+    invalid_arg "Grad.vjp: cotangent dimension mismatch";
+  backward net ~trace:(Network.forward_trace net x) ~dout
 
 let grad_output net ~x ~k =
   if k < 0 || k >= net.Network.output_dim then

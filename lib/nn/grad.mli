@@ -7,7 +7,14 @@
 val vjp : Network.t -> x:Linalg.Vec.t -> dout:Linalg.Vec.t -> Linalg.Vec.t
 (** [vjp n ~x ~dout] is the vector-Jacobian product
     [dout^T . J_N(x)], i.e. the gradient of [dout . N(x)] with respect
-    to [x]. *)
+    to [x].  It is {!Network.forward_trace} followed by {!backward}. *)
+
+val backward :
+  Network.t -> trace:Linalg.Vec.t array -> dout:Linalg.Vec.t -> Linalg.Vec.t
+(** [backward n ~trace ~dout] is the reverse sweep of {!vjp} over a trace
+    already computed by [Network.forward_trace n x]: the same result as
+    [vjp n ~x ~dout], bit for bit, without a second forward pass.
+    @raise Invalid_argument if [dout] or [trace] has the wrong size. *)
 
 val grad_output : Network.t -> x:Linalg.Vec.t -> k:int -> Linalg.Vec.t
 (** Gradient of the single output score [N(x)_k]. *)

@@ -23,17 +23,26 @@ let value t x =
   let scores = Nn.Network.eval t.net x in
   scores.(t.k) -. scores.(runner_up t scores)
 
-let value_grad t x =
-  let scores = Nn.Network.eval t.net x in
-  let j = runner_up t scores in
-  let v = scores.(t.k) -. scores.(j) in
-  let dout =
-    Vec.init (Vec.dim scores) (fun i ->
-        if i = t.k then 1.0 else if i = j then -1.0 else 0.0)
-  in
-  (v, Nn.Grad.vjp t.net ~x ~dout)
+type point = { value : float; trace : Vec.t array; runner_up : int }
 
-let grad t x = snd (value_grad t x)
+let evaluate t x =
+  let trace = Nn.Network.forward_trace t.net x in
+  let scores = trace.(Array.length trace - 1) in
+  let j = runner_up t scores in
+  { value = scores.(t.k) -. scores.(j); trace; runner_up = j }
+
+let grad_at t p =
+  let dout =
+    Vec.init t.net.Nn.Network.output_dim (fun i ->
+        if i = t.k then 1.0 else if i = p.runner_up then -1.0 else 0.0)
+  in
+  Nn.Grad.backward t.net ~trace:p.trace ~dout
+
+let value_grad t x =
+  let p = evaluate t x in
+  (p.value, grad_at t p)
+
+let grad t x = grad_at t (evaluate t x)
 
 let is_counterexample t x = value t x <= 0.0
 

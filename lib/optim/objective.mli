@@ -23,7 +23,24 @@ val grad : t -> Linalg.Vec.t -> Linalg.Vec.t
     the first argmax among [j ≠ K]). *)
 
 val value_grad : t -> Linalg.Vec.t -> float * Linalg.Vec.t
-(** Both at once, sharing the forward pass. *)
+(** Both at once, sharing the forward pass: [grad_at t (evaluate t x)]
+    with its value. *)
+
+type point = {
+  value : float;  (** [F(x)], bit-identical to [value t x] *)
+  trace : Linalg.Vec.t array;
+      (** [Nn.Network.forward_trace] at [x]; element 0 is [x] itself *)
+  runner_up : int;  (** the class [j ≠ K] whose score [F] subtracts *)
+}
+(** One evaluation of [F], kept so the gradient at the same point needs
+    no second forward pass. *)
+
+val evaluate : t -> Linalg.Vec.t -> point
+(** One [forward_trace] at [x]. *)
+
+val grad_at : t -> point -> Linalg.Vec.t
+(** The gradient of {!grad} at the evaluated point: one backward sweep
+    over its trace, no forward pass. *)
 
 val is_counterexample : t -> Linalg.Vec.t -> bool
 (** [F(x) <= 0]. *)

@@ -17,16 +17,20 @@ let c_steps = Telemetry.Metrics.counter "optim.pgd.steps"
 
 let c_restarts = Telemetry.Metrics.counter "optim.pgd.restarts"
 
+(* One [forward_trace] and one backward sweep per step: the evaluation
+   of [next], needed anyway for best-point tracking and the early stop,
+   is the one the following step differentiates. *)
 let run_from ~config obj region x0 =
   let base_step = config.step_scale *. Box.mean_width region in
-  let best_x = ref (Box.clamp region x0) in
-  let best_v = ref (Objective.value obj !best_x) in
-  let x = ref !best_x in
+  let x = ref (Box.clamp region x0) in
+  let at = ref (Objective.evaluate obj !x) in
+  let best_x = ref !x in
+  let best_v = ref !at.Objective.value in
   let stop = ref false in
   let step = ref 0 in
   while (not !stop) && !step < config.steps do
     incr step;
-    let _, g = Objective.value_grad obj !x in
+    let g = Objective.grad_at obj !at in
     let gnorm = Vec.norm2 g in
     if gnorm <= 1e-12 then stop := true
     else begin
@@ -35,7 +39,8 @@ let run_from ~config obj region x0 =
       let next =
         Box.clamp region (Vec.sub !x (Vec.scale (eta /. gnorm) g))
       in
-      let v = Objective.value obj next in
+      at := Objective.evaluate obj next;
+      let v = !at.Objective.value in
       if v < !best_v then begin
         best_v := v;
         best_x := next

@@ -26,4 +26,18 @@ val minimize :
   Domains.Box.t ->
   Linalg.Vec.t * float
 (** [(x_best, f_best)]: the best point found and its objective value.
-    The returned point always lies inside the region. *)
+    The returned point always lies inside the region.
+
+    Cost: each restart evaluates its (clamped) start once, and each step
+    then costs one [Nn.Network.forward_trace] and one backward sweep.
+    The evaluation of the step's new point (best-point tracking, early
+    stop) is carried into the next step, whose gradient comes from that
+    trace; no point is evaluated twice.  A restart ends early when the
+    gradient norm is at most [1e-12], or once its best value reaches the
+    [early_stop] threshold, in which case the remaining restarts are
+    skipped as well.
+
+    RNG: all [restarts - 1] random starts are drawn from [rng] up front,
+    before any descent, so the draws consumed by one call do not depend
+    on when it stops.  Callers that thread one [rng] across regions
+    (Algorithm 1) rely on this. *)

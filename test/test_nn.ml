@@ -312,6 +312,43 @@ let test_vjp_linearity () =
         (Vec.add (Nn.Grad.vjp net ~x ~dout:u) (Nn.Grad.vjp net ~x ~dout:v))
         (Nn.Grad.vjp net ~x ~dout:(Vec.add u v)))
 
+(* [backward] over a given trace is the reverse half of [vjp]: the same
+   result bit for bit, on dense nets and on nets using every layer kind. *)
+let test_backward_matches_vjp () =
+  Util.repeat ~seed:36 ~count:20 (fun rng i ->
+      let net = if i mod 2 = 0 then Util.mixed_net rng else Util.small_net rng in
+      let x =
+        Vec.init net.Nn.Network.input_dim (fun _ -> Rng.uniform rng ~lo:0.0 ~hi:1.0)
+      in
+      let dout = Vec.init net.Nn.Network.output_dim (fun _ -> Rng.gaussian rng) in
+      let trace = Nn.Network.forward_trace net x in
+      Util.check_vec_bits "backward = vjp" (Nn.Grad.vjp net ~x ~dout)
+        (Nn.Grad.backward net ~trace ~dout))
+
+let test_backward_rejects_short_trace () =
+  let net = Nn.Init.xor () in
+  let trace = Nn.Network.forward_trace net [| 0.0; 1.0 |] in
+  Alcotest.check_raises "trace length"
+    (Invalid_argument "Grad.backward: trace length mismatch") (fun () ->
+      ignore
+        (Nn.Grad.backward net
+           ~trace:(Array.sub trace 0 (Array.length trace - 1))
+           ~dout:(Vec.create net.Nn.Network.output_dim 1.0)))
+
+(* The single-trace [value_grad] agrees bit for bit with [value] (one
+   [Network.eval]) and [grad]. *)
+let test_objective_value_grad_single_trace () =
+  Util.repeat ~seed:37 ~count:20 (fun rng i ->
+      let net = if i mod 2 = 0 then Util.mixed_net rng else Util.small_net rng in
+      let k = Rng.int rng net.Nn.Network.output_dim in
+      let obj = Optim.Objective.create net ~k in
+      let x =
+        Vec.init net.Nn.Network.input_dim (fun _ -> Rng.uniform rng ~lo:0.0 ~hi:1.0)
+      in
+      let v, g = Optim.Objective.value_grad obj x in
+      Util.check_bits "value" (Optim.Objective.value obj x) v;
+      Util.check_vec_bits "grad" (Optim.Objective.grad obj x) g)
+
 (* ------------------------------------------------------------------ *)
 (* Batched layer application *)
 
@@ -501,6 +538,10 @@ let () =
           Util.case "dense vs finite diff" test_grad_matches_finite_diff_dense;
           Util.case "conv vs finite diff" test_grad_matches_finite_diff_conv;
           Util.case "vjp linearity" test_vjp_linearity;
+          Util.case "backward over a trace = vjp" test_backward_matches_vjp;
+          Util.case "backward rejects short trace" test_backward_rejects_short_trace;
+          Util.case "objective value_grad single trace"
+            test_objective_value_grad_single_trace;
         ] );
       ( "train",
         [

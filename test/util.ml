@@ -31,6 +31,54 @@ let small_net rng =
   in
   random_dense rng sizes
 
+(* A random network using every layer kind (Conv, Relu, Maxpool,
+   Avgpool, Affine) on a 1x8x8 input with 2-4 classes:
+   conv 3x3 -> relu -> maxpool 2 -> avgpool 2 -> dense -> relu -> dense. *)
+let mixed_net rng =
+  let input = Nn.Shape.create ~channels:1 ~height:8 ~width:8 in
+  let conv =
+    Nn.Conv.create ~input ~out_channels:2 ~kernel:3 ~stride:1 ~padding:1
+      ~weights:(Array.init 18 (fun _ -> Rng.gaussian rng))
+      ~bias:(Vec.init 2 (fun _ -> Rng.gaussian rng))
+  in
+  let conv_out = Nn.Conv.output_shape conv in
+  let pool = Nn.Pool.create ~input:conv_out ~kernel:2 ~stride:2 in
+  let avg =
+    Nn.Avgpool.create ~input:(Nn.Pool.output_shape pool) ~kernel:2 ~stride:2
+  in
+  let flat = Nn.Shape.size (Nn.Avgpool.output_shape avg) in
+  let hidden = 4 + Rng.int rng 4 in
+  let classes = 2 + Rng.int rng 3 in
+  let dense rows cols =
+    Nn.Layer.affine
+      (Mat.init rows cols (fun _ _ -> Rng.gaussian rng))
+      (Vec.init rows (fun _ -> Rng.gaussian rng))
+  in
+  Nn.Network.create ~input_dim:(Nn.Shape.size input)
+    [
+      Nn.Layer.Conv conv;
+      Nn.Layer.Relu;
+      Nn.Layer.Maxpool pool;
+      Nn.Layer.Avgpool avg;
+      dense hidden flat;
+      Nn.Layer.Relu;
+      dense classes hidden;
+    ]
+
+(* Bit-for-bit float and vector equality (stricter than [Float.equal],
+   which identifies 0.0 and -0.0). *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_bits msg expected actual =
+  if not (same_bits expected actual) then
+    Alcotest.failf "%s: expected %h, got %h" msg expected actual
+
+let check_vec_bits msg expected actual =
+  Alcotest.(check int) (msg ^ " (dim)") (Vec.dim expected) (Vec.dim actual);
+  Array.iteri
+    (fun i e -> check_bits (Printf.sprintf "%s [%d]" msg i) e actual.(i))
+    expected
+
 (* A random box around the origin with sides in (0, 1]. *)
 let small_box rng dim =
   let center = Vec.init dim (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
