@@ -2,9 +2,10 @@
 
    Times the dense kernels that dominate the abstract interpreter —
    [Mat.gemm], the batched zonotope affine transformer, and im2col
-   convolution — at several sizes, and writes [BENCH_kernels.json]
-   records (shape, ns/op, GFLOP/s, workers) so later PRs have a perf
-   trajectory to regress against.
+   convolution — at several sizes, and one PGD step on two suite
+   network shapes, and writes [BENCH_kernels.json] records (shape,
+   ns/op, GFLOP/s, workers, cores) so later PRs have a perf trajectory
+   to regress against.
 
    Usage:
      dune exec bench/kernels.exe                  # full sweep -> BENCH_kernels.json
@@ -298,10 +299,53 @@ let bench_deep_propagate ~jobs_list () =
     jobs_list
 
 (* ------------------------------------------------------------------ *)
+(* One PGD step: the work of each iteration of Algorithm 1's
+   counterexample search ([Optim.Pgd]) — one [Objective.evaluate]
+   (a forward trace) plus one [grad_at] (a backward sweep over it) — on
+   the layer shapes of two suite networks with random weights.  It
+   exercises the one-row GEMM edges (dense layers) and the im2col tap
+   tables and pooling windows (LeNet) together. *)
+
+(* Best-of-repeats time of [f] alone, in ns. *)
+let time_ns ?(quota = 0.2) ?(repeats = 5) f =
+  let b = batch_size ~quota f in
+  let best = ref infinity in
+  for _ = 1 to repeats do
+    best := Stdlib.min !best (run_batch b f)
+  done;
+  !best *. 1e9
+
+let bench_pgd_step () =
+  Printf.printf "== pgd-step ==\n%!";
+  let mnist = Nn.Shape.create ~channels:1 ~height:10 ~width:10 in
+  let lenet = Nn.Shape.create ~channels:1 ~height:8 ~width:8 in
+  let nets =
+    [
+      ( "mnist-9x200",
+        mnist,
+        Nn.Init.dense rng
+          ~layer_sizes:
+            ((Nn.Shape.size mnist :: List.init 8 (fun _ -> 48)) @ [ 10 ]) );
+      ("conv-lenet", lenet, Nn.Init.lenet_like rng ~input:lenet ~classes:10);
+    ]
+  in
+  List.iter
+    (fun (shape, input, net) ->
+      let obj = Optim.Objective.create net ~k:0 in
+      let x = Vec.init (Nn.Shape.size input) (fun _ -> Rng.float rng 1.0) in
+      let ns =
+        time_ns (fun () ->
+            ignore (Optim.Objective.grad_at obj (Optim.Objective.evaluate obj x)))
+      in
+      record ~group:"pgd-step" ~name:"evaluate+grad_at" ~shape ~flops:0.0 ns)
+    nets
+
+(* ------------------------------------------------------------------ *)
 (* JSON output *)
 
 let write_json path rs =
   let open Telemetry.Jsonw in
+  let cores = Domain.recommended_domain_count () in
   let row r =
     Obj
       [
@@ -309,6 +353,7 @@ let write_json path rs =
         ("name", Str r.name);
         ("shape", Str r.shape);
         ("workers", Int r.workers);
+        ("cores", Int cores);
         ("ns_per_op", Float r.ns_per_op);
         ("gflops", Float r.gflops);
         ("speedup", Float r.speedup);
@@ -317,12 +362,13 @@ let write_json path rs =
   (* [cores] records the machine the numbers came from: parallel rows
      measured on fewer cores than workers are expected to show no
      speedup, and bin/benchdiff.exe compares rows like-for-like on the
-     per-row [workers] field. *)
+     per-row [workers] field.  Each row repeats it, so rows appended to
+     a baseline recorded on another machine keep their own. *)
   let doc =
     Obj
       [
         ("benchmark", Str "kernels");
-        ("cores", Int (Domain.recommended_domain_count ()));
+        ("cores", Int cores);
         ("results", Arr (List.map row rs));
       ]
   in
@@ -362,6 +408,7 @@ let () =
     ignore (bench_zonotope ~configs:[ (64, 128) ] ());
     bench_conv ~configs:[ (4, 16, 8, 3) ] ();
     bench_deep_propagate ~jobs_list:[ 1; 4 ] ();
+    bench_pgd_step ();
     write_json out_path (List.rev !results)
   end
   else begin
@@ -371,6 +418,7 @@ let () =
     let zono = bench_zonotope ~configs:[ (32, 64); (64, 128); (128, 256); (256, 256) ] () in
     bench_conv ~configs:[ (1, 16, 4, 3); (4, 16, 8, 3); (8, 28, 16, 3) ] ();
     bench_deep_propagate ~jobs_list:[ 1; 2; 4 ] ();
+    bench_pgd_step ();
     write_json out_path (List.rev !results);
     (* The acceptance gate of the batching PR: batched zonotope affine
        must beat the per-generator path by >= 3x at 128 gens x 256 dims. *)

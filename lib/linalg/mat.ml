@@ -177,11 +177,42 @@ let block_k = 512
    That is the whole bit-identity argument: each output cell is written
    by exactly one task, via the identical float operation sequence. *)
 let gemm_nt ~i_lo ~i_hi ~n ~k ~alpha ad bd cd =
-  (* Dot-product edge kernel for tile remainders. *)
+  (* Dot-product edge kernel for tile remainders (and every one-row
+     product, such as a dense layer's forward).  Four output columns
+     share one pass over the row of [a]; each keeps its own accumulator,
+     summed in ascending [p] exactly as a lone dot product would be, so
+     the result is bit-identical while four add chains run at once
+     instead of one latency-bound chain.  Leftover columns run one at a
+     time. *)
   let edge i_lo i_hi j_lo j_hi p_lo p_hi =
     for i = i_lo to i_hi - 1 do
       let abase = i * k and cbase = i * n in
-      for j = j_lo to j_hi - 1 do
+      let j = ref j_lo in
+      while !j + 3 < j_hi do
+        let s0 = !j * k in
+        let s1 = s0 + k in
+        let s2 = s1 + k in
+        let s3 = s2 + k in
+        let acc0 = ref 0.0 and acc1 = ref 0.0
+        and acc2 = ref 0.0 and acc3 = ref 0.0 in
+        for p = p_lo to p_hi - 1 do
+          let av = Array.unsafe_get ad (abase + p) in
+          acc0 := !acc0 +. (av *. Array.unsafe_get bd (s0 + p));
+          acc1 := !acc1 +. (av *. Array.unsafe_get bd (s1 + p));
+          acc2 := !acc2 +. (av *. Array.unsafe_get bd (s2 + p));
+          acc3 := !acc3 +. (av *. Array.unsafe_get bd (s3 + p))
+        done;
+        let c = cbase + !j in
+        Array.unsafe_set cd c (Array.unsafe_get cd c +. (alpha *. !acc0));
+        Array.unsafe_set cd (c + 1)
+          (Array.unsafe_get cd (c + 1) +. (alpha *. !acc1));
+        Array.unsafe_set cd (c + 2)
+          (Array.unsafe_get cd (c + 2) +. (alpha *. !acc2));
+        Array.unsafe_set cd (c + 3)
+          (Array.unsafe_get cd (c + 3) +. (alpha *. !acc3));
+        j := !j + 4
+      done;
+      for j = !j to j_hi - 1 do
         let bbase = j * k in
         let acc = ref 0.0 in
         for p = p_lo to p_hi - 1 do
@@ -355,19 +386,59 @@ let gemm_nt ~i_lo ~i_hi ~n ~k ~alpha ad bd cd =
    [gemm_nt]. *)
 let gemm_nn ~i_lo ~i_hi ~n ~k ~alpha ad bd cd =
   (* Broadcast-accumulate edge kernel: streams contiguous [b] and [c]
-     row segments (matvec_t style) for row remainders of the tiling. *)
+     row segments (matvec_t style) for row remainders of the tiling and
+     one-row products such as a dense layer's backward.  Zero entries of
+     [alpha * a] are skipped; the next four nonzero ones, in ascending
+     [p], are folded into each [c.(j)] per pass as
+     [(((c + a0 b0) + a1 b1) + a2 b2) + a3 b3] — the additions, in the
+     order, that one pass per entry would make, with [c.(j)] loaded and
+     stored once instead of four times.  Fewer than four left over take
+     one pass each. *)
   let edge i_lo i_hi j_lo j_hi p_lo p_hi =
+    let pass cbase bbase av =
+      for j = j_lo to j_hi - 1 do
+        Array.unsafe_set cd (cbase + j)
+          (Array.unsafe_get cd (cbase + j)
+          +. (av *. Array.unsafe_get bd (bbase + j)))
+      done
+    in
     for i = i_lo to i_hi - 1 do
       let abase = i * k and cbase = i * n in
-      for p = p_lo to p_hi - 1 do
-        let av = alpha *. Array.unsafe_get ad (abase + p) in
-        if av <> 0.0 then begin
-          let bbase = p * n in
+      let p = ref p_lo in
+      while !p < p_hi do
+        let taken = ref 0 in
+        let r0 = ref 0 and r1 = ref 0 and r2 = ref 0 and r3 = ref 0 in
+        let v0 = ref 0.0 and v1 = ref 0.0 and v2 = ref 0.0 and v3 = ref 0.0 in
+        while !taken < 4 && !p < p_hi do
+          let av = alpha *. Array.unsafe_get ad (abase + !p) in
+          if av <> 0.0 then begin
+            let bbase = !p * n in
+            (match !taken with
+            | 0 -> r0 := bbase; v0 := av
+            | 1 -> r1 := bbase; v1 := av
+            | 2 -> r2 := bbase; v2 := av
+            | _ -> r3 := bbase; v3 := av);
+            incr taken
+          end;
+          incr p
+        done;
+        if !taken = 4 then begin
+          let r0 = !r0 and r1 = !r1 and r2 = !r2 and r3 = !r3 in
+          let v0 = !v0 and v1 = !v1 and v2 = !v2 and v3 = !v3 in
           for j = j_lo to j_hi - 1 do
-            Array.unsafe_set cd (cbase + j)
-              (Array.unsafe_get cd (cbase + j)
-              +. (av *. Array.unsafe_get bd (bbase + j)))
+            let c = cbase + j in
+            Array.unsafe_set cd c
+              (Array.unsafe_get cd c
+               +. (v0 *. Array.unsafe_get bd (r0 + j))
+               +. (v1 *. Array.unsafe_get bd (r1 + j))
+               +. (v2 *. Array.unsafe_get bd (r2 + j))
+               +. (v3 *. Array.unsafe_get bd (r3 + j)))
           done
+        end
+        else begin
+          if !taken > 0 then pass cbase !r0 !v0;
+          if !taken > 1 then pass cbase !r1 !v1;
+          if !taken > 2 then pass cbase !r2 !v2
         end
       done
     done

@@ -1,18 +1,18 @@
-type t = { input : Shape.t; kernel : int; stride : int }
+type t = {
+  input : Shape.t;
+  kernel : int;
+  stride : int;
+  windows : int array array;
+}
 
+(* Shares the window enumeration with max pooling, made once here. *)
 let create ~input ~kernel ~stride =
-  ignore
-    (Shape.conv_output input ~kernel ~stride ~padding:0
-       ~out_channels:input.Shape.channels);
-  { input; kernel; stride }
+  let windows = Pool.windows (Pool.create ~input ~kernel ~stride) in
+  { input; kernel; stride; windows }
 
 let output_shape t =
   Shape.conv_output t.input ~kernel:t.kernel ~stride:t.stride ~padding:0
     ~out_channels:t.input.Shape.channels
-
-(* Shares the window enumeration with max pooling. *)
-let windows t =
-  Pool.windows (Pool.create ~input:t.input ~kernel:t.kernel ~stride:t.stride)
 
 let forward t x =
   if Array.length x <> Shape.size t.input then
@@ -21,10 +21,10 @@ let forward t x =
     (fun window ->
       Array.fold_left (fun acc i -> acc +. x.(i)) 0.0 window
       /. float_of_int (Array.length window))
-    (windows t)
+    t.windows
 
 let backward t ~dout =
-  let wins = windows t in
+  let wins = t.windows in
   if Array.length dout <> Array.length wins then
     invalid_arg "Avgpool.backward: output gradient dimension mismatch";
   let dx = Array.make (Shape.size t.input) 0.0 in
@@ -36,7 +36,7 @@ let backward t ~dout =
   dx
 
 let to_affine t =
-  let wins = windows t in
+  let wins = t.windows in
   let out_dim = Array.length wins in
   let w = Linalg.Mat.zeros out_dim (Shape.size t.input) in
   Array.iteri

@@ -5,10 +5,13 @@
     exactly (the original LeNet used average pooling; the paper's conv
     benchmark uses max pooling, and we support both). *)
 
-type t = {
+type t = private {
   input : Shape.t;
   kernel : int;  (** square window side *)
   stride : int;
+  windows : int array array;
+      (** the pooling windows, enumerated once by [create] (as
+          {!Pool.windows}) *)
 }
 
 val create : input:Shape.t -> kernel:int -> stride:int -> t

@@ -6,25 +6,12 @@ type t = {
   padding : int;
   weights : float array;
   bias : Linalg.Vec.t;
+  tap_cells : int array;
+  tap_inputs : int array;
 }
 
 let weight_count ~out_channels ~in_channels ~kernel =
   out_channels * in_channels * kernel * kernel
-
-let create ~input ~out_channels ~kernel ~stride ~padding ~weights ~bias =
-  (* Validate geometry eagerly so malformed layers fail at construction. *)
-  ignore
-    (Shape.conv_output input ~kernel ~stride ~padding ~out_channels);
-  let expected =
-    weight_count ~out_channels ~in_channels:input.Shape.channels ~kernel
-  in
-  if Array.length weights <> expected then
-    invalid_arg
-      (Printf.sprintf "Conv.create: expected %d weights, got %d" expected
-         (Array.length weights));
-  if Array.length bias <> out_channels then
-    invalid_arg "Conv.create: bias length must equal out_channels";
-  { input; out_channels; kernel; stride; padding; weights; bias }
 
 let output_shape t =
   Shape.conv_output t.input ~kernel:t.kernel ~stride:t.stride
@@ -127,8 +114,8 @@ let grad_params_direct t ~x ~dout =
 
 let patch_rows t = t.input.Shape.channels * t.kernel * t.kernel
 
-(* Iterate the in-bounds taps of the lowering: calls
-   [f ~row ~col ~input_idx] for every nonzero cell of [P]. *)
+(* Iterate the in-bounds taps of the lowering: calls [f ~cell ~input_idx]
+   for every nonzero cell of [P], [cell] being its row-major index. *)
 let iter_patch_cells t f =
   let out = output_shape t in
   let ow = out.Shape.width in
@@ -153,6 +140,50 @@ let iter_patch_cells t f =
     done
   done
 
+(* The tap table: [iter_patch_cells]'s cells, in its order, as parallel
+   [(cell, input_idx)] arrays.  It depends on geometry only, so [create]
+   builds it once and [update]'s [{ t with weights; bias }] keeps it
+   valid. *)
+let build_taps t =
+  let count = ref 0 in
+  iter_patch_cells t (fun ~cell:_ ~input_idx:_ -> incr count);
+  let cells = Array.make !count 0 and inputs = Array.make !count 0 in
+  let q = ref 0 in
+  iter_patch_cells t (fun ~cell ~input_idx ->
+      cells.(!q) <- cell;
+      inputs.(!q) <- input_idx;
+      incr q);
+  (cells, inputs)
+
+let create ~input ~out_channels ~kernel ~stride ~padding ~weights ~bias =
+  (* Validate geometry eagerly so malformed layers fail at construction. *)
+  ignore
+    (Shape.conv_output input ~kernel ~stride ~padding ~out_channels);
+  let expected =
+    weight_count ~out_channels ~in_channels:input.Shape.channels ~kernel
+  in
+  if Array.length weights <> expected then
+    invalid_arg
+      (Printf.sprintf "Conv.create: expected %d weights, got %d" expected
+         (Array.length weights));
+  if Array.length bias <> out_channels then
+    invalid_arg "Conv.create: bias length must equal out_channels";
+  let t =
+    {
+      input;
+      out_channels;
+      kernel;
+      stride;
+      padding;
+      weights;
+      bias;
+      tap_cells = [||];
+      tap_inputs = [||];
+    }
+  in
+  let tap_cells, tap_inputs = build_taps t in
+  { t with tap_cells; tap_inputs }
+
 (* Scratch-backed im2col for the hot paths: the patch matrix of a given
    layer has the same shape on every call, so the per-domain arena
    serves the same buffer back instead of allocating megabytes of
@@ -161,8 +192,11 @@ let with_im2col t x f =
   let out = output_shape t in
   let ohow = out.Shape.height * out.Shape.width in
   Linalg.Mat.with_scratch (patch_rows t) ohow (fun p ->
-      iter_patch_cells t (fun ~cell ~input_idx ->
-          p.Linalg.Mat.data.(cell) <- x.(input_idx));
+      let pd = p.Linalg.Mat.data in
+      let cells = t.tap_cells and inputs = t.tap_inputs in
+      for q = 0 to Array.length cells - 1 do
+        pd.(cells.(q)) <- x.(inputs.(q))
+      done;
       f p)
 
 (* The weight array viewed as an [OC x (IC*K*K)] matrix (shares the
@@ -195,9 +229,14 @@ let backward t ~dout =
   let dx = Array.make (Shape.size t.input) 0.0 in
   Linalg.Mat.with_scratch (patch_rows t) ohow (fun dp ->
       Linalg.Mat.gemm ~transa:true (weight_mat t) dy dp;
-      (* col2im: scatter-add the patch gradient back onto the input. *)
-      iter_patch_cells t (fun ~cell ~input_idx ->
-          dx.(input_idx) <- dx.(input_idx) +. dp.Linalg.Mat.data.(cell)));
+      (* col2im: scatter-add the patch gradient back onto the input, in
+         tap-table order. *)
+      let dpd = dp.Linalg.Mat.data in
+      let cells = t.tap_cells and inputs = t.tap_inputs in
+      for q = 0 to Array.length cells - 1 do
+        let i = inputs.(q) in
+        dx.(i) <- dx.(i) +. dpd.(cells.(q))
+      done);
   dx
 
 let grad_params t ~x ~dout =

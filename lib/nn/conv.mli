@@ -6,7 +6,7 @@
     interpreter consumes it (the paper, following AI2, treats both dense
     and convolutional layers as affine transformations). *)
 
-type t = {
+type t = private {
   input : Shape.t;
   out_channels : int;
   kernel : int;  (** square kernel side *)
@@ -15,6 +15,13 @@ type t = {
   weights : float array;
       (** indexed \[oc\]\[ic\]\[ki\]\[kj\] flattened in that order *)
   bias : Linalg.Vec.t;  (** length [out_channels] *)
+  tap_cells : int array;
+  tap_inputs : int array;
+      (** The im2col tap table, built by [create] from the geometry
+          alone: tap [q] copies input element [tap_inputs.(q)] into cell
+          [tap_cells.(q)] of the row-major patch matrix.  The type is
+          private so that only [create] builds one; [update]'s copy with
+          new weights keeps a valid table. *)
 }
 
 val create :

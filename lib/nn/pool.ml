@@ -1,16 +1,15 @@
-type t = { input : Shape.t; kernel : int; stride : int }
-
-let create ~input ~kernel ~stride =
-  ignore
-    (Shape.conv_output input ~kernel ~stride ~padding:0
-       ~out_channels:input.Shape.channels);
-  { input; kernel; stride }
+type t = {
+  input : Shape.t;
+  kernel : int;
+  stride : int;
+  windows : int array array;
+}
 
 let output_shape t =
   Shape.conv_output t.input ~kernel:t.kernel ~stride:t.stride ~padding:0
     ~out_channels:t.input.Shape.channels
 
-let windows t =
+let enumerate_windows t =
   let out = output_shape t in
   let result = Array.make (Shape.size out) [||] in
   for c = 0 to out.Shape.channels - 1 do
@@ -29,16 +28,31 @@ let windows t =
   done;
   result
 
+(* The windows depend on geometry only, so they are enumerated once
+   here rather than on every forward and backward pass (the enumeration
+   also validates the geometry). *)
+let create ~input ~kernel ~stride =
+  let t = { input; kernel; stride; windows = [||] } in
+  { t with windows = enumerate_windows t }
+
+let windows t = t.windows
+
 let forward t x =
   if Array.length x <> Shape.size t.input then
     invalid_arg "Pool.forward: input dimension mismatch";
   Array.map
     (fun window ->
-      Array.fold_left (fun acc i -> Stdlib.max acc x.(i)) x.(window.(0)) window)
-    (windows t)
+      (* [Stdlib.max]'s own definition, typed to floats. *)
+      let acc = ref x.(window.(0)) in
+      for q = 0 to Array.length window - 1 do
+        let v = x.(window.(q)) in
+        acc := if !acc >= v then !acc else v
+      done;
+      !acc)
+    t.windows
 
 let backward t ~x ~dout =
-  let wins = windows t in
+  let wins = t.windows in
   if Array.length dout <> Array.length wins then
     invalid_arg "Pool.backward: output gradient dimension mismatch";
   let dx = Array.make (Shape.size t.input) 0.0 in

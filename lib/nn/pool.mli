@@ -4,10 +4,12 @@
     so abstract domains need the structured window description; this
     module exposes window enumeration for that purpose. *)
 
-type t = {
+type t = private {
   input : Shape.t;
   kernel : int;  (** square window side *)
   stride : int;
+  windows : int array array;
+      (** enumerated once by [create]; see {!val-windows} *)
 }
 
 val create : input:Shape.t -> kernel:int -> stride:int -> t
@@ -18,7 +20,8 @@ val output_shape : t -> Shape.t
 val windows : t -> int array array
 (** [windows t] has one entry per output element (in flattened CHW
     order); entry [o] lists the flattened input indices feeding output
-    [o].  Every window is non-empty. *)
+    [o].  Every window is non-empty.  The table is computed once by
+    [create] and shared by every call: do not mutate it. *)
 
 val forward : t -> Linalg.Vec.t -> Linalg.Vec.t
 

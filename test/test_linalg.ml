@@ -374,6 +374,150 @@ let test_gemm_ambient_jobs_scoped () =
     (amb.Mat.data = seq.Mat.data)
 
 (* ------------------------------------------------------------------ *)
+(* Edge kernels against the one-output-at-a-time loops.
+
+   The edge kernels handle every cell outside the 4x4 tiles — all of a
+   one-row product.  The [gemm_nt] edge interleaves four columns and the
+   [gemm_nn] edge folds up to four nonzero [a] entries per pass over
+   [c]; both must make exactly the float operations, in exactly the
+   order, of the straightforward loops below (the previous kernels),
+   which therefore serve as bit-exact oracles.  Each is applied over
+   the whole matrix, k-block by k-block, and compared on the cells the
+   edge owns. *)
+
+let oracle_block_k = 512
+
+let oracle_block_n = 128
+
+let oracle_edge_nt ~n ~k ~alpha ad bd cd i_lo i_hi j_lo j_hi p_lo p_hi =
+  for i = i_lo to i_hi - 1 do
+    let abase = i * k and cbase = i * n in
+    for j = j_lo to j_hi - 1 do
+      let bbase = j * k in
+      let acc = ref 0.0 in
+      for p = p_lo to p_hi - 1 do
+        acc := !acc +. (ad.(abase + p) *. bd.(bbase + p))
+      done;
+      cd.(cbase + j) <- cd.(cbase + j) +. (alpha *. !acc)
+    done
+  done
+
+let oracle_edge_nn ~n ~k ~alpha ad bd cd i_lo i_hi j_lo j_hi p_lo p_hi =
+  for i = i_lo to i_hi - 1 do
+    let abase = i * k and cbase = i * n in
+    for p = p_lo to p_hi - 1 do
+      let av = alpha *. ad.(abase + p) in
+      if av <> 0.0 then begin
+        let bbase = p * n in
+        for j = j_lo to j_hi - 1 do
+          cd.(cbase + j) <- cd.(cbase + j) +. (av *. bd.(bbase + j))
+        done
+      end
+    done
+  done
+
+(* Whether [Mat.gemm] computes cell [(i, j)] of an [m x n] output with
+   the edge kernel: rows past the last 4-row group, or columns past
+   the last 4-column group of their [block_n] panel. *)
+let edge_cell ~m ~n i j =
+  let jj = j / oracle_block_n * oracle_block_n in
+  let j_hi = Stdlib.min n (jj + oracle_block_n) in
+  i >= m / 4 * 4 || j >= jj + ((j_hi - jj) / 4 * 4)
+
+(* An [m x k] [a] whose row [i] holds [i mod 6] nonzeros (so 0 to 5)
+   at random columns, with some stored [-0.0] entries that the [gemm_nn]
+   edge must skip like [0.0]; or, when [dense], mostly nonzero. *)
+let edge_test_a rng ~dense ~m ~k =
+  let a = Mat.zeros m k in
+  for i = 0 to m - 1 do
+    if dense then
+      for p = 0 to k - 1 do
+        Mat.set a i p
+          (match Rng.int rng 8 with
+          | 0 -> 0.0
+          | 1 -> -0.0
+          | _ -> Rng.gaussian rng)
+      done
+    else begin
+      for _ = 1 to i mod 6 do
+        Mat.set a i (Rng.int rng k) (Rng.gaussian rng)
+      done;
+      Mat.set a i (Rng.int rng k) (-0.0)
+    end
+  done;
+  a
+
+let edge_test_b rng ~transb ~n ~k =
+  if transb then Mat.init n k (fun _ _ -> Rng.gaussian rng)
+  else Mat.init k n (fun _ _ -> Rng.gaussian rng)
+
+let check_edges_match_oracle rng ~transb ~dense ~m ~n ~k ~alpha ~beta b =
+  let a = edge_test_a rng ~dense ~m ~k in
+  (* Some [-0.0] cells: adding a zero product that the [gemm_nn] edge
+     must skip would turn them into [+0.0]. *)
+  let c0 =
+    Mat.init m n (fun _ _ -> if Rng.int rng 4 = 0 then -0.0 else Rng.gaussian rng)
+  in
+  let got = Mat.copy c0 in
+  Mat.gemm ~transb ~alpha ~beta a b got;
+  let expected = Mat.copy c0 in
+  if beta = 0.0 then Array.fill expected.Mat.data 0 (m * n) 0.0;
+  let edge = if transb then oracle_edge_nt else oracle_edge_nn in
+  let pp = ref 0 in
+  while !pp < k do
+    let p_hi = Stdlib.min k (!pp + oracle_block_k) in
+    edge ~n ~k ~alpha a.Mat.data b.Mat.data expected.Mat.data 0 m 0 n !pp p_hi;
+    pp := p_hi
+  done;
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let e = Mat.get expected i j and g = Mat.get got i j in
+      if edge_cell ~m ~n i j && not (Util.same_bits e g) then
+        Alcotest.failf "%s m=%d n=%d k=%d alpha=%g beta=%g dense=%b (%d,%d): %h vs %h"
+          (if transb then "nt" else "nn")
+          m n k alpha beta dense i j e g
+    done
+  done
+
+let test_gemm_edges_bit_identical () =
+  let rng = Rng.create 29 in
+  List.iter
+    (fun transb ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun k ->
+              let b = edge_test_b rng ~transb ~n ~k in
+              List.iter
+                (fun m ->
+                  List.iter
+                    (fun dense ->
+                      List.iter
+                        (fun (alpha, beta) ->
+                          check_edges_match_oracle rng ~transb ~dense ~m ~n ~k
+                            ~alpha ~beta b)
+                        [ (1.0, 0.0); (1.0, 1.0); (-0.5, 0.0); (-0.5, 1.0) ])
+                    [ false; true ])
+                [ 1; 3; 5 ])
+            [ 1; 511; 512; 513; 1100 ])
+        [ 8; 9; 10; 11; 133 ])
+    [ true; false ]
+
+(* The one-row shapes of the suite's dense layers (forward is [gemm_nt],
+   backward [gemm_nn]), which the edge kernels cover completely. *)
+let test_gemm_one_row_matches_oracle () =
+  let rng = Rng.create 30 in
+  List.iter
+    (fun (n, k) ->
+      List.iter
+        (fun transb ->
+          edge_test_b rng ~transb ~n ~k
+          |> check_edges_match_oracle rng ~transb ~dense:true ~m:1 ~n ~k
+               ~alpha:1.0 ~beta:1.0)
+        [ true; false ])
+    [ (200, 784); (10, 200); (784, 200) ]
+
+(* ------------------------------------------------------------------ *)
 (* Scratch arena *)
 
 let test_scratch_zero_filled_and_reused () =
@@ -504,6 +648,13 @@ let () =
           Util.case "degenerate shapes" test_gemm_jobs_degenerate_shapes;
           qcheck_gemm_jobs_identical;
           Util.case "ambient jobs scoped" test_gemm_ambient_jobs_scoped;
+        ] );
+      ( "gemm-edges",
+        [
+          Util.case "edges bit-identical to one-output loops"
+            test_gemm_edges_bit_identical;
+          Util.case "one-row products bit-identical"
+            test_gemm_one_row_matches_oracle;
         ] );
       ( "scratch",
         [

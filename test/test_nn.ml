@@ -141,6 +141,232 @@ let test_conv_gemm_matches_direct_oracles () =
       Util.check_vec ~eps:1e-9 "dbias = direct" db' db)
 
 (* ------------------------------------------------------------------ *)
+(* Tap and window tables.
+
+   [Conv] gathers im2col and scatters col2im through a tap table built
+   once by [create]; [Pool] and [Avgpool] keep their windows from
+   [create].  The oracles below are the per-call versions those tables
+   replaced — the closure-driven patch-cell enumeration, and the window
+   list rebuilt on every pass — and every result must match them bit
+   for bit. *)
+
+let oracle_iter_patch_cells (t : Nn.Conv.t) f =
+  let out = Nn.Conv.output_shape t in
+  let ow = out.Nn.Shape.width in
+  let ohow = out.Nn.Shape.height * ow in
+  let k = t.Nn.Conv.kernel in
+  for ic = 0 to t.Nn.Conv.input.Nn.Shape.channels - 1 do
+    for ki = 0 to k - 1 do
+      for kj = 0 to k - 1 do
+        let row = (((ic * k) + ki) * k) + kj in
+        let base = row * ohow in
+        for oi = 0 to out.Nn.Shape.height - 1 do
+          let ii = (oi * t.Nn.Conv.stride) + ki - t.Nn.Conv.padding in
+          if ii >= 0 && ii < t.Nn.Conv.input.Nn.Shape.height then
+            for oj = 0 to ow - 1 do
+              let ij = (oj * t.Nn.Conv.stride) + kj - t.Nn.Conv.padding in
+              if ij >= 0 && ij < t.Nn.Conv.input.Nn.Shape.width then
+                f ~cell:(base + (oi * ow) + oj)
+                  ~input_idx:(Nn.Shape.index t.Nn.Conv.input ~c:ic ~i:ii ~j:ij)
+            done
+        done
+      done
+    done
+  done
+
+let oracle_patch_shape (t : Nn.Conv.t) =
+  let out = Nn.Conv.output_shape t in
+  let k = t.Nn.Conv.kernel in
+  ( t.Nn.Conv.input.Nn.Shape.channels * k * k,
+    out.Nn.Shape.height * out.Nn.Shape.width )
+
+let oracle_im2col t x =
+  let rows, ohow = oracle_patch_shape t in
+  let p = Mat.zeros rows ohow in
+  oracle_iter_patch_cells t (fun ~cell ~input_idx ->
+      p.Mat.data.(cell) <- x.(input_idx));
+  p
+
+let oracle_weight_mat (t : Nn.Conv.t) =
+  let rows, _ = oracle_patch_shape t in
+  { Mat.rows = t.Nn.Conv.out_channels; cols = rows; data = t.Nn.Conv.weights }
+
+let oracle_conv_forward t x =
+  let _, ohow = oracle_patch_shape t in
+  let y = Mat.zeros t.Nn.Conv.out_channels ohow in
+  Mat.gemm (oracle_weight_mat t) (oracle_im2col t x) y;
+  let yd = y.Mat.data in
+  for oc = 0 to t.Nn.Conv.out_channels - 1 do
+    let base = oc * ohow and b = t.Nn.Conv.bias.(oc) in
+    for s = 0 to ohow - 1 do
+      yd.(base + s) <- yd.(base + s) +. b
+    done
+  done;
+  yd
+
+let oracle_conv_backward (t : Nn.Conv.t) ~dout =
+  let rows, ohow = oracle_patch_shape t in
+  let dy = { Mat.rows = t.Nn.Conv.out_channels; cols = ohow; data = dout } in
+  let dx = Array.make (Nn.Shape.size t.Nn.Conv.input) 0.0 in
+  let dp = Mat.zeros rows ohow in
+  Mat.gemm ~transa:true (oracle_weight_mat t) dy dp;
+  oracle_iter_patch_cells t (fun ~cell ~input_idx ->
+      dx.(input_idx) <- dx.(input_idx) +. dp.Mat.data.(cell));
+  dx
+
+let oracle_conv_dweights (t : Nn.Conv.t) ~x ~dout =
+  let rows, ohow = oracle_patch_shape t in
+  let dy = { Mat.rows = t.Nn.Conv.out_channels; cols = ohow; data = dout } in
+  let dw = Mat.zeros t.Nn.Conv.out_channels rows in
+  Mat.gemm ~transb:true dy (oracle_im2col t x) dw;
+  dw.Mat.data
+
+let oracle_windows ~(input : Nn.Shape.t) ~kernel ~stride =
+  let out =
+    Nn.Shape.conv_output input ~kernel ~stride ~padding:0
+      ~out_channels:input.Nn.Shape.channels
+  in
+  let result = Array.make (Nn.Shape.size out) [||] in
+  for c = 0 to out.Nn.Shape.channels - 1 do
+    for oi = 0 to out.Nn.Shape.height - 1 do
+      for oj = 0 to out.Nn.Shape.width - 1 do
+        let members = ref [] in
+        for ki = kernel - 1 downto 0 do
+          for kj = kernel - 1 downto 0 do
+            let ii = (oi * stride) + ki and ij = (oj * stride) + kj in
+            members := Nn.Shape.index input ~c ~i:ii ~j:ij :: !members
+          done
+        done;
+        result.(Nn.Shape.index out ~c ~i:oi ~j:oj) <- Array.of_list !members
+      done
+    done
+  done;
+  result
+
+let oracle_pool_forward wins x =
+  Array.map
+    (fun window ->
+      Array.fold_left (fun acc i -> Stdlib.max acc x.(i)) x.(window.(0)) window)
+    wins
+
+let oracle_pool_backward ~input wins ~x ~dout =
+  let dx = Array.make (Nn.Shape.size input) 0.0 in
+  Array.iteri
+    (fun o window ->
+      let best = ref window.(0) in
+      Array.iter (fun i -> if x.(i) > x.(!best) then best := i) window;
+      dx.(!best) <- dx.(!best) +. dout.(o))
+    wins;
+  dx
+
+(* A random geometry that tiles: stride 1 or 2, kernel 2 or 3, and (for
+   convolutions) padding 0 or 1, with the side chosen so the stride
+   divides the padded span. *)
+let random_geometry rng ~padding =
+  let stride = 1 + Rng.int rng 2 in
+  let kernel = 2 + Rng.int rng 2 in
+  let side = ref (4 + Rng.int rng 5) in
+  while (!side + (2 * padding) - kernel) mod stride <> 0 do
+    incr side
+  done;
+  let input =
+    Nn.Shape.create ~channels:(1 + Rng.int rng 3) ~height:!side ~width:!side
+  in
+  (input, kernel, stride)
+
+(* Inputs with repeated values, so max-pool ties (and their first-index
+   routing) actually occur, plus signed zeros. *)
+let tie_heavy_vec rng n =
+  Vec.init n (fun _ ->
+      match Rng.int rng 6 with
+      | 0 -> 0.5
+      | 1 -> -0.0
+      | 2 -> 0.0
+      | _ -> Rng.gaussian rng)
+
+let test_conv_tap_table_matches_enumeration () =
+  Util.repeat ~seed:28 ~count:40 (fun rng _ ->
+      let padding = Rng.int rng 2 in
+      let input, kernel, stride = random_geometry rng ~padding in
+      let c =
+        random_conv rng ~input ~out_channels:(1 + Rng.int rng 5) ~kernel
+          ~stride ~padding
+      in
+      let x = Vec.init (Nn.Shape.size input) (fun _ -> Rng.gaussian rng) in
+      let dout =
+        Vec.init (Nn.Shape.size (Nn.Conv.output_shape c)) (fun _ ->
+            Rng.gaussian rng)
+      in
+      Util.check_vec_bits "forward" (oracle_conv_forward c x)
+        (Nn.Conv.forward c x);
+      Util.check_vec_bits "backward" (oracle_conv_backward c ~dout)
+        (Nn.Conv.backward c ~dout);
+      let dw, _ = Nn.Conv.grad_params c ~x ~dout in
+      Util.check_vec_bits "grad_params dweights"
+        (oracle_conv_dweights c ~x ~dout) dw;
+      (* The table itself: the enumeration's cells, in its order. *)
+      let cells = ref [] and inputs = ref [] in
+      oracle_iter_patch_cells c (fun ~cell ~input_idx ->
+          cells := cell :: !cells;
+          inputs := input_idx :: !inputs);
+      Util.check_true "tap cells in enumeration order"
+        (Array.of_list (List.rev !cells) = c.Nn.Conv.tap_cells);
+      Util.check_true "tap inputs in enumeration order"
+        (Array.of_list (List.rev !inputs) = c.Nn.Conv.tap_inputs))
+
+let test_pool_window_table_matches_enumeration () =
+  Util.repeat ~seed:29 ~count:40 (fun rng _ ->
+      let input, kernel, stride = random_geometry rng ~padding:0 in
+      let p = Nn.Pool.create ~input ~kernel ~stride in
+      let wins = oracle_windows ~input ~kernel ~stride in
+      Util.check_true "Pool.windows = fresh enumeration"
+        (Nn.Pool.windows p = wins);
+      let x = tie_heavy_vec rng (Nn.Shape.size input) in
+      let dout = Vec.init (Array.length wins) (fun _ -> Rng.gaussian rng) in
+      Util.check_vec_bits "maxpool forward" (oracle_pool_forward wins x)
+        (Nn.Pool.forward p x);
+      Util.check_vec_bits "maxpool backward"
+        (oracle_pool_backward ~input wins ~x ~dout)
+        (Nn.Pool.backward p ~x ~dout);
+      let a = Nn.Avgpool.create ~input ~kernel ~stride in
+      Util.check_true "Avgpool windows = fresh enumeration"
+        (a.Nn.Avgpool.windows = wins))
+
+(* The tables survive the two ways a layer is rebuilt: a [Serial] round
+   trip (which calls [create] again) and a [Conv.update] step (which
+   copies the record with new weights). *)
+let test_tables_survive_rebuild () =
+  let rng = Rng.create 30 in
+  let input = Nn.Shape.create ~channels:1 ~height:8 ~width:8 in
+  let net = Nn.Init.lenet_like rng ~input ~classes:3 in
+  let x = Vec.init (Nn.Shape.size input) (fun _ -> Rng.float rng 1.0) in
+  let net' = Nn.Serial.of_string (Nn.Serial.to_string net) in
+  Util.check_vec_bits "serial round trip" (Nn.Network.eval net x)
+    (Nn.Network.eval net' x);
+  List.iter
+    (function
+      | Nn.Layer.Conv c ->
+          let dout =
+            Vec.init (Nn.Shape.size (Nn.Conv.output_shape c)) (fun _ ->
+                Rng.gaussian rng)
+          in
+          let cx = Vec.init (Nn.Shape.size c.Nn.Conv.input) (fun _ -> Rng.gaussian rng) in
+          let dweights, dbias = Nn.Conv.grad_params c ~x:cx ~dout in
+          let c' = Nn.Conv.update c ~dweights ~dbias ~lr:0.1 in
+          let fresh =
+            Nn.Conv.create ~input:c'.Nn.Conv.input
+              ~out_channels:c'.Nn.Conv.out_channels ~kernel:c'.Nn.Conv.kernel
+              ~stride:c'.Nn.Conv.stride ~padding:c'.Nn.Conv.padding
+              ~weights:c'.Nn.Conv.weights ~bias:c'.Nn.Conv.bias
+          in
+          Util.check_vec_bits "update keeps a valid tap table"
+            (Nn.Conv.forward fresh cx) (Nn.Conv.forward c' cx);
+          Util.check_vec_bits "updated forward = oracle"
+            (oracle_conv_forward c' cx) (Nn.Conv.forward c' cx)
+      | _ -> ())
+    net.Nn.Network.layers
+
+(* ------------------------------------------------------------------ *)
 (* Pool *)
 
 let test_pool_forward () =
@@ -512,6 +738,14 @@ let () =
           Util.case "param grads vs finite diff" test_conv_grad_params_finite_diff;
           Util.case "gemm kernels match direct oracles"
             test_conv_gemm_matches_direct_oracles;
+        ] );
+      ( "tables",
+        [
+          Util.case "conv tap table = per-call enumeration"
+            test_conv_tap_table_matches_enumeration;
+          Util.case "pool windows = per-call enumeration"
+            test_pool_window_table_matches_enumeration;
+          Util.case "tables survive serial and update" test_tables_survive_rebuild;
         ] );
       ( "pool",
         [

@@ -188,9 +188,12 @@ let test_verdicts_round_trip () =
 
 let test_cache_hit_on_repeat () =
   with_daemon (fun socket ->
-      (* Large enough that the cold run costs real wall time, small
-         enough to stay far from the test deadline. *)
-      let spec = staircase_spec 5 in
+      (* Large enough that the cold run costs real wall time (about
+         0.2 s at dimension 10, against about 0.2 ms for a cache hit;
+         dimension 5 took only 2.5 ms, so a hit's socket round trip
+         could come within the 10x bar), small enough to stay far from
+         the test deadline. *)
+      let spec = staircase_spec 10 in
       let id, first = submit socket spec in
       Util.check_true "cold submit misses" (not (jbool first [ "cache"; "hit" ]));
       let final = wait socket id in
