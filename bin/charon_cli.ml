@@ -11,6 +11,13 @@
      export   write the benchmark suite to disk as networks + property files
      serve    run the charon-serve verification daemon (docs/serving.md)
      submit   send one verification job to a running daemon
+     status   poll one job's state and events
+     cancel   cancel a queued or running job
+     stats    per-tenant, queue and cache statistics of a daemon
+     ping     check that a daemon answers
+     shutdown stop a daemon
+     dverify  verify one property across worker processes
+     worker   a dverify worker on stdin/stdout (spawned by dverify)
      demo     the XOR walkthrough of Example 3.1 *)
 
 open Cmdliner
@@ -67,9 +74,6 @@ let policy_arg =
   in
   Arg.(value & opt (some file) None & info [ "policy" ] ~docv:"FILE" ~doc)
 
-let region_of ~center ~radius ~box =
-  Common.Regionspec.of_options ~center ~radius ~box
-
 let center_arg =
   let doc = "Region center as comma-separated floats (with $(b,--radius))." in
   Arg.(value & opt (some string) None & info [ "center" ] ~docv:"X1,X2,..." ~doc)
@@ -81,6 +85,48 @@ let radius_arg =
 let box_arg =
   let doc = "Region as comma-separated lo:hi bounds, one per input." in
   Arg.(value & opt (some string) None & info [ "box" ] ~docv:"L1:H1,L2:H2,..." ~doc)
+
+(* A malformed region is a usage error: exit 2 with Regionspec's
+   message, not an uncaught exception. *)
+let region_term =
+  let region center radius box =
+    try Common.Regionspec.of_options ~center ~radius ~box
+    with Failure msg | Invalid_argument msg ->
+      Printf.eprintf "charon: %s\n" msg;
+      exit 2
+  in
+  Term.(const region $ center_arg $ radius_arg $ box_arg)
+
+(* The job that verify, submit and dverify all take: a network file,
+   the property, and the budget and seed to decide it with. *)
+type job = {
+  network : string;
+  target : int;
+  region : Domains.Box.t;
+  timeout : float;
+  delta : float;
+  seed : int;
+}
+
+let job_term =
+  let job network target region timeout delta seed =
+    { network; target; region; timeout; delta; seed }
+  in
+  Term.(
+    const job $ network_arg $ target_arg $ region_term $ timeout_arg
+    $ delta_arg $ seed_arg)
+
+let job_spec ~name ?max_steps job =
+  {
+    Server.Protocol.name;
+    network = In_channel.with_open_text job.network In_channel.input_all;
+    box = job.region;
+    target = job.target;
+    delta = job.delta;
+    timeout = Some job.timeout;
+    max_steps;
+    seed = job.seed;
+  }
 
 let load_policy = function
   | None -> Charon.Policy.default
@@ -157,21 +203,24 @@ let report_proofcache cache =
 (* verify                                                             *)
 
 let verify_cmd =
-  let run () network target center radius box timeout delta seed workers
-      policy_file use_proofcache proofcache_persist trace stats =
-    let net = Nn.Serial.load network in
-    let region = region_of ~center ~radius ~box in
-    let prop = Common.Property.create ~region ~target () in
+  let run () job workers policy_file use_proofcache proofcache_persist trace
+      stats =
+    let net = Nn.Serial.load job.network in
+    let prop =
+      Common.Property.create ~region:job.region ~target:job.target ()
+    in
     let policy = load_policy policy_file in
-    let config = { Charon.Verify.default_config with Charon.Verify.delta } in
-    let rng = Linalg.Rng.create seed in
+    let config =
+      { Charon.Verify.default_config with Charon.Verify.delta = job.delta }
+    in
+    let rng = Linalg.Rng.create job.seed in
     let proofcache =
       proofcache_of ~enabled:use_proofcache ~persist:proofcache_persist
     in
     let report =
       with_telemetry ~trace ~stats (fun () ->
           Charon.Verify.run ~config
-            ~budget:(Common.Budget.of_seconds timeout)
+            ~budget:(Common.Budget.of_seconds job.timeout)
             ~workers ?proofcache ~rng ~policy net prop)
     in
     Format.printf "%a@." Common.Outcome.pp report.Charon.Verify.outcome;
@@ -200,10 +249,8 @@ let verify_cmd =
   in
   let term =
     Term.(
-      const run $ logs_term $ network_arg $ target_arg $ center_arg
-      $ radius_arg $ box_arg $ timeout_arg $ delta_arg $ seed_arg
-      $ workers_arg $ policy_arg $ proofcache_flag $ proofcache_persist_arg
-      $ trace_arg $ stats_arg)
+      const run $ logs_term $ job_term $ workers_arg $ policy_arg
+      $ proofcache_flag $ proofcache_persist_arg $ trace_arg $ stats_arg)
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Verify or refute a robustness property")
@@ -423,9 +470,8 @@ let analyze_cmd =
     let doc = "Abstract domain: I1, Z1, ZJ1, S1, Z4, ZJ64, ..." in
     Arg.(value & opt string "Z1" & info [ "domain"; "d" ] ~docv:"SPEC" ~doc)
   in
-  let run () network target center radius box domain =
+  let run () network target region domain =
     let net = Nn.Serial.load network in
-    let region = region_of ~center ~radius ~box in
     let spec =
       match Domains.Domain.of_string domain with
       | Some s -> s
@@ -443,8 +489,8 @@ let analyze_cmd =
   in
   let term =
     Term.(
-      const run $ logs_term $ network_arg $ target_arg $ center_arg
-      $ radius_arg $ box_arg $ domain_arg)
+      const run $ logs_term $ network_arg $ target_arg $ region_term
+      $ domain_arg)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -459,9 +505,8 @@ let attack_cmd =
     let doc = "Attack method: pgd or fgsm." in
     Arg.(value & opt string "pgd" & info [ "method"; "m" ] ~docv:"NAME" ~doc)
   in
-  let run () network target center radius box seed method_ =
+  let run () network target region seed method_ =
     let net = Nn.Serial.load network in
-    let region = region_of ~center ~radius ~box in
     let obj = Optim.Objective.create net ~k:target in
     let x, v =
       match method_ with
@@ -482,18 +527,21 @@ let attack_cmd =
   in
   let term =
     Term.(
-      const run $ logs_term $ network_arg $ target_arg $ center_arg
-      $ radius_arg $ box_arg $ seed_arg $ method_arg)
+      const run $ logs_term $ network_arg $ target_arg $ region_term
+      $ seed_arg $ method_arg)
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Gradient-based counterexample search")
     term
 
 (* ------------------------------------------------------------------ *)
-(* serve / submit                                                     *)
+(* serve and its clients                                              *)
 
 let socket_arg =
-  let doc = "Unix-domain socket of the charon-serve daemon." in
+  let doc =
+    "Unix-domain socket of the charon-serve daemon ($(b,serve): the empty \
+     string disables it and serves TCP only)."
+  in
   Arg.(
     value
     & opt string "charon-serve.sock"
@@ -510,28 +558,26 @@ let api_key_arg =
   let doc = "Tenant API key (required over TCP when tenants are configured)." in
   Arg.(value & opt (some string) None & info [ "api-key" ] ~docv:"KEY" ~doc)
 
-let parse_tcp_endpoint s =
-  match String.rindex_opt s ':' with
-  | None -> ("127.0.0.1", int_of_string s)
-  | Some i ->
-      let host = String.sub s 0 i in
-      let port =
-        int_of_string (String.sub s (i + 1) (String.length s - i - 1))
-      in
-      ((if host = "" then "127.0.0.1" else host), port)
+let tcp_endpoint s =
+  match Server.Client.endpoint_of_string s with
+  | Some endpoint -> endpoint
+  | None ->
+      Printf.eprintf
+        "charon: bad --tcp endpoint %S (expected HOST:PORT, PORT in 0-65535)\n"
+        s;
+      exit 2
 
-let addr_of socket tcp =
-  match tcp with
-  | None -> Server.Client.Unix_socket socket
-  | Some s -> (
-      match parse_tcp_endpoint s with
-      | host, port -> Server.Client.Tcp (host, port)
-      | exception (Failure _ | Invalid_argument _) ->
-          Printf.eprintf "bad --tcp endpoint %S (expected HOST:PORT)\n" s;
-          exit 2)
+(* The daemon a client subcommand talks to, and the key it presents. *)
+let daemon_term =
+  let daemon socket tcp api_key =
+    match Option.map tcp_endpoint tcp with
+    | None -> (Server.Client.Unix_socket socket, api_key)
+    | Some (host, port) -> (Server.Client.Tcp (host, port), api_key)
+  in
+  Term.(const daemon $ socket_arg $ tcp_client_arg $ api_key_arg)
 
-(* Shared error surface for the daemon-client subcommands (submit,
-   stats): connection failures, structured rejects, prose errors. *)
+(* The error surface of every client subcommand: connection failures,
+   structured rejects, prose errors and malformed responses exit 1. *)
 let with_daemon addr f =
   match f () with
   | code -> code
@@ -548,6 +594,23 @@ let with_daemon addr f =
         (if retryable then ", retryable" else "")
         message;
       1
+  | exception Telemetry.Jsonw.Parse_error msg ->
+      (* A daemon dying mid-write can tear a line on its '\n', leaving
+         broken JSON: a failed request, not a response. *)
+      Printf.eprintf "malformed response from the daemon: %s\n" msg;
+      1
+
+(* A client subcommand: one request, its response printed as JSON. *)
+let client_cmd name ~doc args
+    (request :
+      ?api_key:string -> addr:Server.Client.addr -> 'a -> Telemetry.Jsonw.t) =
+  let run () (addr, api_key) x =
+    with_daemon addr (fun () ->
+        let json = request ?api_key ~addr x in
+        print_endline (Telemetry.Jsonw.to_string ~pretty:true json);
+        0)
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ logs_term $ daemon_term $ args)
 
 let serve_cmd =
   let cache_arg =
@@ -561,7 +624,7 @@ let serve_cmd =
   let tcp_listen_arg =
     let doc =
       "Also listen on TCP at $(docv) (HOST:PORT, or just PORT for \
-       127.0.0.1; port 0 picks an ephemeral port)."
+       127.0.0.1; port 0 picks an ephemeral port, printed once bound)."
     in
     Arg.(value & opt (some string) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
   in
@@ -587,51 +650,50 @@ let serve_cmd =
   in
   let run () socket tcp tenants_file store queue_capacity workers cache_size
       proofcache_size proofcache_persist trace stats =
+    let socket = if socket = "" then None else Some socket in
+    let tcp = Option.map tcp_endpoint tcp in
     match
-      let socket = if socket = "" then None else Some socket in
-      let tcp =
-        match tcp with
-        | None -> None
-        | Some s -> (
-            try Some (parse_tcp_endpoint s)
-            with Failure _ | Invalid_argument _ ->
-              failwith
-                (Printf.sprintf "bad --tcp endpoint %S (expected HOST:PORT)" s))
-      in
       let tenants =
-        match tenants_file with
-        | None -> Server.Tenant.empty
-        | Some path -> Server.Tenant.load path
+        Option.fold ~none:Server.Tenant.empty ~some:Server.Tenant.load
+          tenants_file
       in
       (match trace with
       | Some path -> Telemetry.enable ~path ()
       | None -> Telemetry.enable ());
-      Printf.printf
-        "charon serve: listening on %s (%d workers, cache %d, proofcache %d%s%s)\n%!"
-        (String.concat " + "
-           ((match socket with Some s -> [ s ] | None -> [])
-           @
-           match tcp with
-           | Some (h, p) -> [ Printf.sprintf "%s:%d" h p ]
-           | None -> []))
-        workers cache_size proofcache_size
-        (match proofcache_persist with
-        | Some p -> Printf.sprintf " persisted to %s" p
-        | None -> "")
-        (match store with
-        | Some p -> Printf.sprintf ", verdict store %s" p
-        | None -> "");
-      Server.Daemon.serve ?socket ?tcp ~workers ~cache_capacity:cache_size
+      Server.Daemon.start ?socket ?tcp ~workers ~cache_capacity:cache_size
         ~proofcache_capacity:proofcache_size ?proofcache_persist
         ?store_path:store ~queue_capacity ~tenants ()
     with
-    | () ->
-        if stats then print_string (Telemetry.Metrics.summary_table ());
-        Telemetry.disable ();
-        0
     | exception (Failure msg | Invalid_argument msg) ->
         Printf.eprintf "charon serve: %s\n" msg;
         2
+    | exception Unix.Unix_error (e, fn, _) ->
+        Printf.eprintf "charon serve: %s: %s\n" fn (Unix.error_message e);
+        2
+    | daemon ->
+        (* The bound port, not the requested one: with port 0 only the
+           kernel knows where clients must connect. *)
+        let tcp_bound =
+          match (tcp, Server.Daemon.tcp_port daemon) with
+          | Some (host, _), Some port -> [ Printf.sprintf "%s:%d" host port ]
+          | _ -> []
+        in
+        Printf.printf
+          "charon serve: listening on %s (%d workers, cache %d, proofcache \
+           %d%s%s)\n\
+           %!"
+          (String.concat " + " (Option.to_list socket @ tcp_bound))
+          workers cache_size proofcache_size
+          (match proofcache_persist with
+          | Some p -> Printf.sprintf " persisted to %s" p
+          | None -> "")
+          (match store with
+          | Some p -> Printf.sprintf ", verdict store %s" p
+          | None -> "");
+        Server.Daemon.wait daemon;
+        if stats then print_string (Telemetry.Metrics.summary_table ());
+        Telemetry.disable ();
+        0
   in
   let term =
     Term.(
@@ -642,7 +704,9 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the verification daemon (see also charon-serve-client)")
+       ~doc:
+         "Run the verification daemon until a $(b,shutdown) request \
+          (clients: submit, status, cancel, stats, ping, shutdown)")
     term
 
 let submit_cmd =
@@ -654,42 +718,50 @@ let submit_cmd =
     let doc = "Label echoed back in status responses." in
     Arg.(value & opt string "property" & info [ "name" ] ~docv:"NAME" ~doc)
   in
-  let run () socket tcp api_key network target center radius box timeout delta
-      seed name wait =
-    let addr = addr_of socket tcp in
-    let spec =
-      {
-        Server.Protocol.name;
-        network = In_channel.with_open_text network In_channel.input_all;
-        box = region_of ~center ~radius ~box;
-        target;
-        delta;
-        timeout = Some timeout;
-        max_steps = None;
-        seed;
-      }
-    in
-    with_daemon addr (fun () ->
-        let id, response = Server.Client.submit ?api_key ~addr spec in
-        let json =
-          if
-            wait
-            && not (Server.Client.terminal (Server.Client.job_state response))
-          then Server.Client.wait ?api_key ~addr id
-          else response
-        in
-        print_endline (Telemetry.Jsonw.to_string ~pretty:true json);
-        0)
+  let max_steps_arg =
+    let doc = "Per-job abstract-transformer step budget." in
+    Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"N" ~doc)
   in
-  let term =
+  let submit ?api_key ~addr (spec, wait) =
+    let id, response = Server.Client.submit ?api_key ~addr spec in
+    if wait && not (Server.Client.terminal (Server.Client.job_state response))
+    then Server.Client.wait ?api_key ~addr id
+    else response
+  in
+  let args =
     Term.(
-      const run $ logs_term $ socket_arg $ tcp_client_arg $ api_key_arg
-      $ network_arg $ target_arg $ center_arg $ radius_arg $ box_arg
-      $ timeout_arg $ delta_arg $ seed_arg $ name_arg $ wait_flag)
+      const (fun job name max_steps wait ->
+          (job_spec ~name ?max_steps job, wait))
+      $ job_term $ name_arg $ max_steps_arg $ wait_flag)
   in
-  Cmd.v
-    (Cmd.info "submit" ~doc:"Submit one verification job to a running daemon")
-    term
+  client_cmd "submit" ~doc:"Submit one verification job to a running daemon"
+    args submit
+
+let id_arg =
+  let doc = "Job id (from the submit response)." in
+  Arg.(required & opt (some int) None & info [ "id"; "i" ] ~docv:"ID" ~doc)
+
+let status_cmd =
+  let since_arg =
+    let doc = "Only return events with sequence number at least $(docv)." in
+    Arg.(value & opt int 0 & info [ "since" ] ~docv:"SEQ" ~doc)
+  in
+  client_cmd "status" ~doc:"Poll one job's state and events"
+    Term.(const (fun id since -> (id, since)) $ id_arg $ since_arg)
+    (fun ?api_key ~addr (id, since) ->
+      Server.Client.status ?api_key ~addr ~since id)
+
+let cancel_cmd =
+  client_cmd "cancel" ~doc:"Cancel a queued or running job" id_arg
+    Server.Client.cancel
+
+let ping_cmd =
+  client_cmd "ping" ~doc:"Check that the daemon answers" (Term.const ())
+    Server.Client.ping
+
+let shutdown_cmd =
+  client_cmd "shutdown" ~doc:"Stop the daemon (cancels all pending jobs)"
+    (Term.const ()) Server.Client.shutdown
 
 let stats_srv_cmd =
   let json_flag =
@@ -698,32 +770,18 @@ let stats_srv_cmd =
   in
   let module J = Telemetry.Jsonw in
   (* Tolerant accessors: a field the daemon doesn't know yet (or an
-     older daemon not sending one we expect) prints as 0, not a crash —
-     client and daemon versions may skew. *)
-  let jint path json =
-    let rec go path json =
-      match path with
-      | [] -> J.to_int_opt json
-      | k :: rest -> Option.bind (J.member k json) (go rest)
+     older daemon not sending one we expect) prints as a default, not a
+     crash — client and daemon versions may skew. *)
+  let field conv default path json =
+    let rec go json = function
+      | [] -> conv json
+      | k :: rest -> Option.bind (J.member k json) (fun j -> go j rest)
     in
-    Option.value ~default:0 (go path json)
+    Option.value ~default (go json path)
   in
-  let jfloat path json =
-    let rec go path json =
-      match path with
-      | [] -> J.to_float_opt json
-      | k :: rest -> Option.bind (J.member k json) (go rest)
-    in
-    Option.value ~default:0.0 (go path json)
-  in
-  let jstr path json =
-    let rec go path json =
-      match path with
-      | [] -> J.to_string_opt json
-      | k :: rest -> Option.bind (J.member k json) (go rest)
-    in
-    Option.value ~default:"?" (go path json)
-  in
+  let jint = field J.to_int_opt 0 in
+  let jfloat = field J.to_float_opt 0.0 in
+  let jstr = field J.to_string_opt "?" in
   let print_summary json =
     Printf.printf "charon-serve: %d workers, up %.1fs\n" (jint [ "workers" ] json)
       (jfloat [ "uptime_seconds" ] json);
@@ -770,8 +828,7 @@ let stats_srv_cmd =
           tenants
     | Some _ | None -> ()
   in
-  let run () socket tcp api_key raw =
-    let addr = addr_of socket tcp in
+  let run () (addr, api_key) raw =
     with_daemon addr (fun () ->
         let json = Server.Client.stats ?api_key ~addr () in
         if raw then print_endline (J.to_string ~pretty:true json)
@@ -780,8 +837,7 @@ let stats_srv_cmd =
   in
   let term =
     Term.(
-      const run $ logs_term $ socket_arg $ tcp_client_arg $ api_key_arg
-      $ json_flag)
+      const run $ logs_term $ daemon_term $ json_flag)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -841,21 +897,9 @@ let dverify_cmd =
     Arg.(
       value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
   in
-  let run () network target center radius box timeout delta seed workers
-      splits steps worker_exe crash_after trace_dir proofcache_persist
-      stats_json trace stats =
-    let spec =
-      {
-        Server.Protocol.name = Filename.basename network;
-        network = In_channel.with_open_text network In_channel.input_all;
-        box = region_of ~center ~radius ~box;
-        target;
-        delta;
-        timeout = Some timeout;
-        max_steps = None;
-        seed;
-      }
-    in
+  let run () job workers splits steps worker_exe crash_after trace_dir
+      proofcache_persist stats_json trace stats =
+    let spec = job_spec ~name:(Filename.basename job.network) job in
     let config =
       {
         (Server.Coordinator.default_config ~workers) with
@@ -956,9 +1000,7 @@ let dverify_cmd =
   in
   let term =
     Term.(
-      const run $ logs_term $ network_arg $ target_arg $ center_arg
-      $ radius_arg $ box_arg $ timeout_arg $ delta_arg $ seed_arg
-      $ dworkers_arg $ splits_arg $ steps_arg $ worker_exe_arg
+      const run $ logs_term $ job_term $ dworkers_arg $ splits_arg $ steps_arg $ worker_exe_arg
       $ crash_after_arg $ trace_dir_arg $ proofcache_persist_arg
       $ stats_json_arg $ trace_arg $ stats_arg)
   in
@@ -1026,7 +1068,11 @@ let () =
             export_cmd;
             serve_cmd;
             submit_cmd;
+            status_cmd;
+            cancel_cmd;
             stats_srv_cmd;
+            ping_cmd;
+            shutdown_cmd;
             dverify_cmd;
             worker_cmd;
             demo_cmd;

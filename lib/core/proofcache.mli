@@ -24,10 +24,9 @@ type t
 
 val create : ?capacity:int -> ?persist:string -> unit -> t
 (** [capacity] (default 65536) bounds the in-memory LRU.  [persist]
-    names an append-only JSONL journal (one [{"v":1,"proved":"<hex>"}]
-    per line): existing facts are replayed into the LRU on create
-    (unparseable lines skipped) and new facts are appended and flushed
-    as they are recorded.
+    names a {!Common.Journal} (one [{"v":1,"proved":"<hex>"}] per
+    line): existing facts are replayed into the LRU on create and new
+    facts are appended and flushed as they are recorded.
     @raise Invalid_argument when [capacity < 1]. *)
 
 val net_digest : Nn.Network.t -> string

@@ -1,7 +1,7 @@
 (* Thin client for the charon-serve wire protocol: one connection per
-   request, line-framed JSON both ways (see Protocol).  Shared by
-   bin/serve_client.ml, the `charon submit` subcommand, and the server
-   lifecycle tests.
+   request, line-framed JSON both ways (see Protocol).  Shared by the
+   `charon` client subcommands (submit, status, stats, ...) and the
+   server lifecycle tests.
 
    Transports: a Unix socket connection sends the request directly
    (trusted, anonymous); a TCP connection — or any connection carrying
@@ -22,6 +22,18 @@ exception Rejected of { code : string; retryable : bool; message : string }
 let addr_to_string = function
   | Unix_socket path -> path
   | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
+
+let endpoint_of_string s =
+  let host, port =
+    match String.rindex_opt s ':' with
+    | None -> ("", s)
+    | Some i ->
+        (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  in
+  match int_of_string_opt port with
+  | Some p when p >= 0 && p <= 65535 ->
+      Some ((if host = "" then "127.0.0.1" else host), p)
+  | Some _ | None -> None
 
 let connect addr =
   match addr with

@@ -1,6 +1,6 @@
 (** Thin charon-serve client: one connection per request, line-framed
-    JSON both ways, over a Unix socket or TCP.  Used by the CLI client
-    binaries and the server lifecycle tests.
+    JSON both ways, over a Unix socket or TCP.  Used by the [charon]
+    client subcommands and the server lifecycle tests.
 
     TCP connections (and any connection carrying an API key) open with
     the versioned hello handshake before the request; bare Unix-socket
@@ -19,6 +19,12 @@ exception Rejected of { code : string; retryable : bool; message : string }
     backing off and resending can succeed. *)
 
 val addr_to_string : addr -> string
+
+val endpoint_of_string : string -> (string * int) option
+(** Parse [HOST:PORT], or a bare [PORT] (an empty host means
+    127.0.0.1).  [None] unless the port is an integer in 0–65535:
+    [Unix.bind] keeps only a port's low 16 bits, so an out-of-range
+    port would otherwise bind somewhere else without an error. *)
 
 val request : ?api_key:string -> addr:addr -> Protocol.request -> Telemetry.Jsonw.t
 (** Lowest level: connect (handshaking first on TCP or when [api_key]

@@ -1,7 +1,6 @@
 (** charon-dverify worker process: verifies split subtrees assigned by
     {!Coordinator} over the [Protocol.Dist] session on its
-    stdin/stdout.  Host binaries expose it behind a flag
-    ([charon worker], [serve.exe --worker]) so the coordinator can
+    stdin/stdout.  [charon worker] runs it, so the coordinator can
     spawn its own executable as the worker.
 
     Environment:

@@ -235,9 +235,12 @@ let test_proofcache_persistence_roundtrip () =
 let test_proofcache_journal_skips_garbage () =
   with_temp_journal (fun path ->
       let k = mk_key xor_net (Box.create ~lo:[| 0.0 |] ~hi:[| 1.0 |]) in
+      let k2 = mk_key xor_net (Box.create ~lo:[| 0.0 |] ~hi:[| 2.0 |]) in
       let oc = open_out path in
       output_string oc ("{\"v\":1,\"proved\":\"" ^ k ^ "\"}\n");
       output_string oc "not json at all\n";
+      (* a future format's fact must not load as a v1 one *)
+      output_string oc ("{\"v\":2,\"proved\":\"" ^ k2 ^ "\"}\n");
       output_string oc "{\"v\":1,\"proved\":\"";
       (* torn final line: no closing quote, no newline *)
       close_out oc;
@@ -245,7 +248,38 @@ let test_proofcache_journal_skips_garbage () =
       Alcotest.(check int) "only the intact line loads" 1
         (Charon.Proofcache.loaded c);
       Util.check_true "intact fact hits" (Charon.Proofcache.lookup c k);
+      Util.check_true "v2 fact never loaded"
+        (not (Charon.Proofcache.lookup c k2));
       Charon.Proofcache.close c)
+
+(* The journal format is what earlier runs left on disk: a fact must be
+   written byte for byte as it always was, or old journals stop
+   replaying and new ones stop loading into older readers. *)
+let test_journal_lines_byte_identical () =
+  let lines path = In_channel.with_open_text path In_channel.input_all in
+  with_temp_journal (fun path ->
+      Sys.remove path;
+      let k = mk_key xor_net (Box.create ~lo:[| 0.0 |] ~hi:[| 1.0 |]) in
+      let c = Charon.Proofcache.create ~persist:path () in
+      Charon.Proofcache.record c k;
+      Charon.Proofcache.close c;
+      Alcotest.(check string) "proofcache line"
+        ("{\"v\":1,\"proved\":\"" ^ k ^ "\"}\n")
+        (lines path));
+  with_temp_journal (fun path ->
+      Sys.remove path;
+      let s = Server.Store.create ~path () in
+      Server.Store.record s "kv" Common.Outcome.Verified ~cold_wall:1.25;
+      Server.Store.record s "kr"
+        (Common.Outcome.Refuted [| 0.5; -0.25; 0.1 |])
+        ~cold_wall:2.0;
+      Server.Store.close s;
+      Alcotest.(check string) "store lines"
+        ({|{"v":1,"key":"kv","cold_wall":1.25,"verdict":{"verdict":"verified"}}|}
+       ^ "\n"
+       ^ {|{"v":1,"key":"kr","cold_wall":2.0,"verdict":{"verdict":"falsified","witness":["0.5","-0.25","0.10000000000000001"]}}|}
+       ^ "\n")
+        (lines path))
 
 let test_proofcache_warm_rerun_hits_at_root () =
   (* End-to-end: verifying the same property twice against one cache
@@ -303,6 +337,9 @@ let test_verdict_store_roundtrip_skips_garbage () =
          skipped on replay, not poison the restart. *)
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "not json at all\n";
+      output_string oc
+        {|{"v":2,"key":"future","cold_wall":1.0,"verdict":{"verdict":"verified"}}|};
+      output_string oc "\n";
       output_string oc "{\"v\":1,\"key\":\"torn";
       close_out oc;
       let s2 = Server.Store.create ~path () in
@@ -322,6 +359,8 @@ let test_verdict_store_roundtrip_skips_garbage () =
       | _ -> Alcotest.fail "refuted fact lost");
       Util.check_true "torn key never loaded"
         (Server.Store.find s2 "torn" = None);
+      Util.check_true "v2 key never loaded"
+        (Server.Store.find s2 "future" = None);
       (* An LRU eviction must fall through to the store: capacity 1,
          two puts, and the evicted verdict still answers. *)
       let c = Server.Cache.create ~capacity:1 ~store:s2 () in
@@ -360,6 +399,8 @@ let () =
           Util.case "persistence roundtrip"
             test_proofcache_persistence_roundtrip;
           Util.case "journal skips garbage" test_proofcache_journal_skips_garbage;
+          Util.case "journal lines byte-identical"
+            test_journal_lines_byte_identical;
           Util.case "warm rerun hits at root"
             test_proofcache_warm_rerun_hits_at_root;
         ] );

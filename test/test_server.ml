@@ -549,6 +549,25 @@ let test_shutdown_cancels_pending () =
   Server.Daemon.stop handle;
   Util.check_true "socket removed again" (not (Sys.file_exists socket))
 
+(* One parser for every --tcp endpoint.  Unix.bind keeps only a port's
+   low 16 bits, so 65536 + p would silently bind p. *)
+let test_endpoint_parser () =
+  let check msg expected s =
+    Alcotest.(check (option (pair string int)))
+      msg expected
+      (Server.Client.endpoint_of_string s)
+  in
+  check "host and port" (Some ("example.org", 4019)) "example.org:4019";
+  check "bare port" (Some ("127.0.0.1", 7878)) "7878";
+  check "empty host" (Some ("127.0.0.1", 7878)) ":7878";
+  check "ephemeral" (Some ("0.0.0.0", 0)) "0.0.0.0:0";
+  check "top port" (Some ("127.0.0.1", 65535)) "65535";
+  check "one past the top" None "127.0.0.1:65536";
+  check "wraps to a valid port" None (string_of_int (65536 + 41234));
+  check "negative" None "127.0.0.1:-1";
+  check "not a number" None "127.0.0.1:http";
+  check "no port" None "127.0.0.1:"
+
 let () =
   Alcotest.run "server"
     [
@@ -565,4 +584,5 @@ let () =
             test_tcp_tenants_quota_coalescing;
           Util.case "shutdown cancels pending work" test_shutdown_cancels_pending;
         ] );
+      ("endpoints", [ Util.case "port range" test_endpoint_parser ]);
     ]
